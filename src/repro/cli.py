@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument(
         "--verify",
         action="store_true",
-        help="prove the machine equivalent to the direct-construction oracle",
+        help="prove the machine equivalent to the paper's reference chain",
     )
     design.add_argument("--vhdl", help="write VHDL to this path")
     design.add_argument("--verilog", help="write Verilog to this path")

@@ -1,11 +1,13 @@
 """Stage-by-stage differential runner with counterexample minimization.
 
 ``check_conformance(trace, order, ...)`` re-runs the paper's design chain
-one stage at a time -- the *same* stage functions :class:`FSMDesigner`
-composes, but uncached, so nothing can mask a wrong artifact -- and
-checks each artifact against its oracle from
-:mod:`repro.conformance.oracles`.  The first disagreement is returned as
-a :class:`Divergence` naming the stage; ``None`` means every stage
+one stage at a time -- the front stages :class:`FSMDesigner` composes,
+then :func:`~repro.core.pipeline.reference_chain`, all uncached so nothing
+can mask a wrong artifact -- and checks each artifact against its oracle
+from :mod:`repro.conformance.oracles`.  The ``core.direct`` stage then
+requires the production construction to land on exactly the chain's
+final machine.  The first disagreement is returned as a
+:class:`Divergence` naming the stage; ``None`` means every stage
 conforms.
 
 ``minimize_counterexample`` then delta-debugs the trace by bisection
@@ -24,15 +26,18 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.automata.dfa import DFA, subset_construct
-from repro.automata.hopcroft import hopcroft_minimize
-from repro.automata.moore import BINARY_ALPHABET, MooreMachine
-from repro.automata.nfa import NFA, thompson_construct
-from repro.automata.startup import startup_state_count, steady_state_core, steady_state_reduce
+from repro.automata.equivalence import find_distinguishing_string
+from repro.automata.moore import MooreMachine
+from repro.automata.startup import steady_state_core
 from repro.conformance import oracles
 from repro.core.markov import MarkovModel
 from repro.core.patterns import PatternSets, define_patterns
-from repro.core.regex_build import history_language_regex
+from repro.core.pipeline import (
+    DesignConfig,
+    FSMDesigner,
+    ReferenceChain,
+    reference_chain,
+)
 from repro.logic.cube import Cube
 from repro.logic.espresso import minimize as logic_minimize
 from repro.obs.metrics import metrics
@@ -48,11 +53,12 @@ STAGES = (
     "automata.dfa",
     "automata.hopcroft",
     "automata.startup",
+    "core.direct",
     "sim.outputs",
     "sim.optimal",
 )
 
-#: Stage 10 searches every <=k-state machine; past this trace length the
+#: Stage 11 searches every <=k-state machine; past this trace length the
 #: exhaustive sweep is not worth paying per conformance probe.
 OPTIMAL_CHECK_MAX_BITS = 4096
 
@@ -91,19 +97,14 @@ class Divergence:
         }
 
 
-@dataclass
-class StageArtifacts:
-    """Every intermediate artifact of one uncached stage-by-stage run."""
+@dataclass(frozen=True)
+class StageArtifacts(ReferenceChain):
+    """Every intermediate artifact of one uncached stage-by-stage run: the
+    front stages' outputs plus the reference chain's."""
 
     model: MarkovModel
     patterns: PatternSets
     cover: List[Cube]
-    regex: Any
-    nfa: Optional[NFA]
-    dfa: Optional[DFA]
-    minimized: MooreMachine
-    final: MooreMachine
-    startup_removed: int
 
 
 def run_stages(
@@ -112,10 +113,11 @@ def run_stages(
     bias_threshold: float = 0.5,
     dont_care_fraction: float = 0.0,
 ) -> StageArtifacts:
-    """The design chain, stage by stage, with no caching and no
-    verification -- exactly the composition of
-    :meth:`FSMDesigner.design_from_patterns`, exposed so the differential
-    runner (and the golden-vector generator) can inspect every rung."""
+    """The paper's design chain, stage by stage, with no caching and no
+    verification: the shared front stages (Markov model, patterns, cover)
+    followed by :func:`~repro.core.pipeline.reference_chain`, exposed so
+    the differential runner (and the golden-vector generator) can inspect
+    every rung."""
     model = MarkovModel.from_trace(trace, order)
     patterns = define_patterns(
         model,
@@ -123,38 +125,9 @@ def run_stages(
         dont_care_fraction=dont_care_fraction,
     )
     cover = logic_minimize(patterns.to_truth_table())
-    regex = history_language_regex(cover)
-    if not cover:
-        # Mirrors FSMDesigner._compile's EmptySet special case.
-        nfa = None
-        dfa = None
-        minimized = MooreMachine(
-            alphabet=BINARY_ALPHABET,
-            start=0,
-            outputs=(0,),
-            transitions=((0, 0),),
-        )
-    else:
-        nfa = thompson_construct(regex, alphabet=BINARY_ALPHABET)
-        dfa = subset_construct(nfa)
-        minimized = hopcroft_minimize(MooreMachine.from_dfa(dfa))
-    final = minimized
-    removed = 0
-    if minimized.num_states > 1:
-        removed = startup_state_count(minimized, order)
-        final = steady_state_reduce(minimized, order)
-        if removed:
-            final = hopcroft_minimize(final)
+    chain = reference_chain(cover, order)
     return StageArtifacts(
-        model=model,
-        patterns=patterns,
-        cover=cover,
-        regex=regex,
-        nfa=nfa,
-        dfa=dfa,
-        minimized=minimized,
-        final=final,
-        startup_removed=removed,
+        **vars(chain), model=model, patterns=patterns, cover=cover
     )
 
 
@@ -309,7 +282,30 @@ def check_conformance(
                     f"{art.minimized.num_states} states",
                 )
 
-        # Stage 9: the compiled batch kernels and trace_outputs agree with
+        # Stage 9: the production construction (direct history machine +
+        # Hopcroft, uncached) must land on exactly the chain's machine.
+        designer = FSMDesigner(
+            DesignConfig(
+                order=order,
+                bias_threshold=bias_threshold,
+                dont_care_fraction=dont_care_fraction,
+            )
+        )
+        production = designer.design_from_patterns(art.model, art.patterns).machine
+        if production != art.final:
+            witness = find_distinguishing_string(production, art.final)
+            return diverge(
+                "core.direct",
+                f"production machine ({production.num_states} states) != "
+                f"reference chain machine ({art.final.num_states} states)"
+                + (
+                    f"; witness input: {witness!r}"
+                    if witness is not None
+                    else "; equivalent but numbered differently"
+                ),
+            )
+
+        # Stage 10: the compiled batch kernels and trace_outputs agree with
         # the table-driven simulation on the full trace.
         want_outputs = oracles.oracle_moore_outputs(art.final, trace)
         got_outputs = art.final.trace_outputs("".join(str(b) for b in trace))
@@ -327,7 +323,7 @@ def check_conformance(
                 f"simulation at index {_first_mismatch(compiled, want_outputs)}",
             )
 
-        # Stage 10: the designed machine can never beat the exact optimal
+        # Stage 11: the designed machine can never beat the exact optimal
         # k-state predictor oracle at its own size.  A violation means
         # either the pipeline miscounted its machine's predictions or the
         # oracle's exhaustive search is wrong -- both are bugs worth a

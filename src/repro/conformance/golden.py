@@ -140,8 +140,8 @@ def compute_vector(case: GoldenCase) -> Dict[str, Any]:
         "bits": case.bits,
         "cover": [str(cube).replace("-", "x") for cube in art.cover],
         "states": {
-            "nfa": art.nfa.num_states if art.nfa is not None else 0,
-            "dfa": art.dfa.num_states if art.dfa is not None else 1,
+            "nfa": art.nfa_states,
+            "dfa": art.dfa_states,
             "minimized": art.minimized.num_states,
             "startup_removed": art.startup_removed,
             "final": art.final.num_states,

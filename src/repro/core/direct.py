@@ -1,16 +1,17 @@
-"""Direct history-automaton construction: the pipeline's test oracle.
+"""Direct history-automaton construction: the production design path.
 
-The language built by the pipeline is suffix-determined: for any input of
+The cover's predict-1 language is suffix-determined: for any input of
 length >= N, membership depends only on the last N bits.  A machine for such
 a language can be written down directly -- one state per length-N history,
 transitions by shifting, output = cover evaluated on the history -- and
-Hopcroft-minimizing that machine gives the *canonical* minimal steady-state
-predictor.
+Hopcroft-minimizing that machine gives, by Myhill-Nerode, the *canonical*
+minimal steady-state predictor.
 
-The design flow of the paper must therefore produce a machine equivalent to
-this one on all strings of length >= N; the test suite checks exactly that.
-This module is not part of the paper's flow (the paper goes through the
-regular expression), it exists to cross-validate it.
+The paper reaches the same machine through a regular expression, an NFA, a
+DFA and start-state reduction.  :class:`~repro.core.pipeline.FSMDesigner`
+builds every predictor here instead and keeps the paper's chain
+(:func:`~repro.core.pipeline.reference_chain`) as the independent reference
+it is verified against.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ def direct_history_machine(
 
     n_states = 1 << order
     mask = n_states - 1
+    cubes = list(cover)
     outputs: List[int] = []
     rows: List[Tuple[int, int]] = []
     for history in range(n_states):
-        outputs.append(1 if cover_contains(list(cover), history) else 0)
+        outputs.append(1 if cover_contains(cubes, history) else 0)
         rows.append((((history << 1) | 0) & mask, ((history << 1) | 1) & mask))
     machine = MooreMachine(
         alphabet=BINARY_ALPHABET,

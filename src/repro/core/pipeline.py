@@ -1,13 +1,22 @@
 """The end-to-end FSM-predictor design flow (Section 4).
 
-``FSMDesigner`` chains every stage of the paper's design chain and records
-the intermediate artifacts so that examples, tests, and the experiment
-harness can inspect each step:
+``FSMDesigner`` builds every predictor in one construction:
 
     trace -> MarkovModel -> PatternSets -> SOP cover (logic minimization)
-          -> regular expression -> NFA (Thompson) -> DFA (subset
-          construction) -> Hopcroft minimization -> start-state reduction
+          -> 2^N-state history machine -> Hopcroft minimization
           -> final MooreMachine
+
+The cover defines a suffix-determined language, so by Myhill-Nerode the
+Hopcroft-minimized shift-register machine (:mod:`repro.core.direct`) *is*
+the minimal steady-state predictor.  The paper's own chain
+
+    cover -> regular expression -> NFA (Thompson) -> DFA (subset
+          construction) -> Hopcroft minimization -> start-state reduction
+
+lives on as :func:`reference_chain`: the independent reference that
+:mod:`repro.reliability.verify` and the conformance runner check the
+production machine against, and the source of the per-stage state counts
+(``DesignResult.nfa_states`` etc.), which it computes only when read.
 
 The worked example of Sections 4.2-4.7 (trace ``t``, N=2, final 3-state
 machine) is reproduced verbatim in the test suite.
@@ -16,7 +25,7 @@ machine) is reproduced verbatim in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 from repro.automata import regex as rx
@@ -26,6 +35,7 @@ from repro.automata.moore import BINARY_ALPHABET, MooreMachine
 from repro.automata.nfa import NFA, thompson_construct
 from repro.automata.startup import startup_state_count, steady_state_reduce
 from repro.core import cancel
+from repro.core.direct import direct_history_machine
 from repro.core.markov import MarkovModel
 from repro.core.patterns import PatternSets, define_patterns
 from repro.core.regex_build import history_language_regex
@@ -50,24 +60,18 @@ class DesignConfig:
     ``dont_care_fraction``
         Share of the least-seen histories moved to the don't-care set
         (the paper recommends 0.01).
-    ``reduce_startup``
-        Apply start-state reduction (Section 4.7).  On by default; off is
-        only useful for the ablation that measures how many start-up
-        states exist.
     ``canonical_history``
-        The history that selects the post-reduction start state; defaults
-        to all zeros.
+        The history that selects the start state; defaults to all zeros.
     ``verify``
-        Prove every freshly designed machine against the direct
-        construction oracle (:mod:`repro.reliability.verify`) before
-        returning it.  Cache *hits* are always verified regardless of
-        this flag; ``verify=True`` extends the proof to cold computes.
+        Prove every freshly designed machine against the paper's
+        reference chain (:mod:`repro.reliability.verify`) before
+        returning it, cache hits included.  Without it, cache hits still
+        get the cheaper integrity check of ``_design_hit_ok``.
     """
 
     order: int = 4
     bias_threshold: float = 0.5
     dont_care_fraction: float = 0.0
-    reduce_startup: bool = True
     canonical_history: Optional[str] = None
     verify: bool = False
 
@@ -131,25 +135,156 @@ class DesignConfig:
             self.order,
             self.bias_threshold,
             self.dont_care_fraction,
-            self.reduce_startup,
             self.canonical_history,
         )
 
 
+@dataclass(frozen=True)
+class ReferenceChain:
+    """Every artifact of the paper's chain for one cover (Sections
+    4.5-4.7).  ``nfa`` and ``dfa`` are ``None`` for the empty cover, whose
+    machine is written down directly, and in the copy a
+    :class:`DesignResult` memoizes, which keeps only their sizes."""
+
+    regex: rx.Regex
+    nfa: Optional[NFA]
+    dfa: Optional[DFA]
+    nfa_states: int
+    dfa_states: int
+    minimized: MooreMachine
+    final: MooreMachine
+    startup_removed: int
+
+
+def reference_chain(
+    cover: Sequence[Cube],
+    order: int,
+    canonical_history: Optional[str] = None,
+) -> ReferenceChain:
+    """The paper's construction: regex -> Thompson NFA -> subset DFA ->
+    Hopcroft -> start-state reduction (re-minimized when states go).
+
+    Shares no construction code with the production path beyond Hopcroft,
+    so its ``final`` machine is the reference production is checked
+    against.  Every stage is called through this module's bindings, after
+    a cancellation checkpoint (served requests read the counts).
+    """
+    cancel.checkpoint("regex")
+    with trace_span("design.regex", product_terms=len(cover)):
+        regex = history_language_regex(cover)
+    if isinstance(regex, rx.EmptySet):
+        # Never predict 1: the one-state always-0 machine.
+        machine = MooreMachine(BINARY_ALPHABET, 0, (0,), ((0, 0),))
+        return ReferenceChain(regex, None, None, 0, 1, machine, machine, 0)
+    cancel.checkpoint("compile")
+    with trace_span("design.nfa") as span:
+        nfa = thompson_construct(regex, alphabet=BINARY_ALPHABET)
+        span.set(states=nfa.num_states)
+    with trace_span("design.dfa", nfa_states=nfa.num_states) as span:
+        dfa = subset_construct(nfa)
+        span.set(states=dfa.num_states)
+    with trace_span("design.minimize", dfa_states=dfa.num_states) as span:
+        minimized = hopcroft_minimize(MooreMachine.from_dfa(dfa))
+        span.set(states=minimized.num_states)
+    final = minimized
+    removed = 0
+    if minimized.num_states > 1:
+        cancel.checkpoint("startup_reduce")
+        with trace_span(
+            "design.startup", order=order, states_in=minimized.num_states
+        ) as span:
+            removed = startup_state_count(minimized, order)
+            # Run the reduction even when no states get removed: it also
+            # moves the start to the canonical-history state, so the
+            # predictor powers up as if it had seen that history.
+            final = steady_state_reduce(
+                minimized, order, canonical_history=canonical_history
+            )
+            if removed:
+                # Reduction can expose new merges; re-minimize.
+                final = hopcroft_minimize(final)
+            span.set(removed=removed, states_out=final.num_states)
+    return ReferenceChain(
+        regex, nfa, dfa, nfa.num_states, dfa.num_states, minimized, final, removed
+    )
+
+
+def production_machine(
+    cover: Sequence[Cube],
+    order: int,
+    canonical_history: Optional[str] = None,
+) -> MooreMachine:
+    """The 2^N-state history machine of ``cover``, started at the canonical
+    history and Hopcroft-minimized through this module's binding: exactly
+    the reference chain's final machine."""
+    return hopcroft_minimize(
+        direct_history_machine(
+            cover, order, start_history=canonical_history or "", minimize=False
+        )
+    )
+
+
 @dataclass
 class DesignResult:
-    """Every artifact of one run of the design flow."""
+    """Every artifact of one run of the design flow.
+
+    ``regex`` and the per-stage state counts belong to the paper's chain,
+    which production does not run: they come from one memoized
+    :func:`reference_chain` run, made the first time any of them (or
+    verification) is asked for.  The memo is never pickled, so a cached
+    result always rebuilds its reference from the cover.
+    """
 
     config: DesignConfig
     model: MarkovModel
     patterns: PatternSets
     cover: List[Cube]
-    regex: rx.Regex
-    nfa_states: int
-    dfa_states: int
-    minimized_states: int
-    startup_states_removed: int
     machine: MooreMachine
+    _reference: Optional[ReferenceChain] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_reference"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # A payload that smuggles a memo in must not vouch for itself.
+        self.__dict__.update(state)
+        self._reference = None
+
+    def reference(self) -> ReferenceChain:
+        """The reference chain for this result's cover (memoized without
+        its NFA and DFA: sweeps hold many results, and a large design's
+        automata weigh megabytes)."""
+        if self._reference is None:
+            chain = reference_chain(
+                self.cover, self.config.order, self.config.canonical_history
+            )
+            self._reference = replace(chain, nfa=None, dfa=None)
+        return self._reference
+
+    @property
+    def regex(self) -> rx.Regex:
+        return self.reference().regex
+
+    @property
+    def nfa_states(self) -> int:
+        return self.reference().nfa_states
+
+    @property
+    def dfa_states(self) -> int:
+        return self.reference().dfa_states
+
+    @property
+    def minimized_states(self) -> int:
+        """States after Hopcroft, before start-state reduction."""
+        return self.reference().minimized.num_states
+
+    @property
+    def startup_states_removed(self) -> int:
+        return self.reference().startup_removed
 
     @property
     def num_states(self) -> int:
@@ -193,8 +328,6 @@ class FSMDesigner:
         a constant all-0/all-1 trace designs the one-state constant
         predictor.
         """
-        from repro.perf.cache import DESIGN_FLOW_VERSION, cached, digest_of
-
         self._validate_trace(trace)
         try:
             trace_bytes = bytes(bytearray(trace))
@@ -203,12 +336,6 @@ class FSMDesigner:
         if trace_bytes is None:
             model = MarkovModel.from_trace(trace, self.config.order)
             return self.design_from_model(model)
-        key = digest_of(
-            "design-from-trace",
-            trace_bytes,
-            self.config.cache_fields(),
-            DESIGN_FLOW_VERSION,
-        )
 
         def compute() -> DesignResult:
             cancel.checkpoint("markov")
@@ -221,15 +348,7 @@ class FSMDesigner:
                 span.set(histories=len(model.totals))
             return self._design_from_model(model)
 
-        with trace_span(
-            "design.flow",
-            source="trace",
-            order=self.config.order,
-            bias_threshold=self.config.bias_threshold,
-        ) as span:
-            result = cached("designs", key, compute, validate=_design_hit_ok)
-            span.set(final_states=result.num_states)
-        return self._finish(result)
+        return self._cached_flow("trace", (trace_bytes,), compute)
 
     def design_from_model(self, model: MarkovModel) -> DesignResult:
         """Full flow starting from a pre-built Markov model (the branch
@@ -238,30 +357,43 @@ class FSMDesigner:
         Cached like :meth:`design_from_trace`, keyed by the model's sorted
         count tables instead of a raw trace.
         """
+        return self._cached_flow(
+            "model",
+            (
+                model.order,
+                tuple(sorted(model.totals.items())),
+                tuple(sorted(model.ones.items())),
+            ),
+            lambda: self._design_from_model(model),
+        )
+
+    def _cached_flow(self, source: str, key_parts: tuple, compute) -> DesignResult:
+        """One disk-memoized run of the flow under a ``design.flow`` span,
+        keyed by ``key_parts``, the config's semantic fields and the
+        design-flow version salt; verified afterwards when the config
+        asks for it."""
         from repro.perf.cache import DESIGN_FLOW_VERSION, cached, digest_of
 
         key = digest_of(
-            "design-from-model",
-            model.order,
-            tuple(sorted(model.totals.items())),
-            tuple(sorted(model.ones.items())),
+            f"design-from-{source}",
+            *key_parts,
             self.config.cache_fields(),
             DESIGN_FLOW_VERSION,
         )
         with trace_span(
             "design.flow",
-            source="model",
+            source=source,
             order=self.config.order,
             bias_threshold=self.config.bias_threshold,
         ) as span:
-            result = cached(
-                "designs",
-                key,
-                lambda: self._design_from_model(model),
-                validate=_design_hit_ok,
-            )
+            result = cached("designs", key, compute, validate=_design_hit_ok)
             span.set(final_states=result.num_states)
-        return self._finish(result)
+        if self.config.verify:
+            from repro.reliability.verify import verify_design
+
+            cancel.checkpoint("verify")
+            verify_design(result)
+        return result
 
     def _validate_trace(self, trace: Sequence[int]) -> None:
         try:
@@ -283,14 +415,6 @@ class FSMDesigner:
                 trace_length=length,
                 order=self.config.order,
             )
-
-    def _finish(self, result: DesignResult) -> DesignResult:
-        if self.config.verify:
-            from repro.reliability.verify import verify_design
-
-            cancel.checkpoint("verify")
-            verify_design(result)
-        return result
 
     def _design_from_model(self, model: MarkovModel) -> DesignResult:
         self._stage("define_patterns")
@@ -325,43 +449,19 @@ class FSMDesigner:
         ) as span:
             cover = logic_minimize(patterns.to_truth_table())
             span.set(product_terms=len(cover))
-        self._stage("regex")
-        with trace_span("design.regex", product_terms=len(cover)):
-            regex = history_language_regex(cover)
-        self._stage("compile")
-        machine, nfa_states, dfa_states, minimized_states = self._compile(regex)
-        removed = 0
-        cancel.checkpoint("startup_reduce")
-        if self.config.reduce_startup and machine.num_states > 1:
-            with trace_span(
-                "design.startup",
-                order=self.config.order,
-                states_in=machine.num_states,
-            ) as span:
-                removed = startup_state_count(machine, self.config.order)
-                # Run the reduction even when no states get removed: it
-                # also normalizes the start to the canonical-history
-                # state, so the predictor powers up as if it had seen
-                # that history.
-                machine = steady_state_reduce(
-                    machine,
-                    self.config.order,
-                    canonical_history=self.config.canonical_history,
-                )
-                if removed:
-                    # Reduction can expose new merges; re-minimize.
-                    machine = hopcroft_minimize(machine)
-                span.set(removed=removed, states_out=machine.num_states)
+        self._stage("direct")
+        with trace_span(
+            "design.direct", order=self.config.order, product_terms=len(cover)
+        ) as span:
+            machine = production_machine(
+                cover, self.config.order, self.config.canonical_history
+            )
+            span.set(states=machine.num_states)
         return DesignResult(
             config=self.config,
             model=model,
             patterns=patterns,
             cover=cover,
-            regex=regex,
-            nfa_states=nfa_states,
-            dfa_states=dfa_states,
-            minimized_states=minimized_states,
-            startup_states_removed=removed,
             machine=machine,
         )
 
@@ -386,39 +486,27 @@ class FSMDesigner:
                 bias_threshold=self.config.bias_threshold,
             ) from exc
 
-    def _compile(self, regex: rx.Regex):
-        """regex -> minimized Moore machine (+ stage state counts)."""
-        if isinstance(regex, rx.EmptySet):
-            # Never predict 1: the one-state always-0 machine.
-            machine = MooreMachine(
-                alphabet=BINARY_ALPHABET,
-                start=0,
-                outputs=(0,),
-                transitions=((0, 0),),
-            )
-            return machine, 0, 1, 1
-        with trace_span("design.nfa") as span:
-            nfa = thompson_construct(regex, alphabet=BINARY_ALPHABET)
-            span.set(states=nfa.num_states)
-        with trace_span("design.dfa", nfa_states=nfa.num_states) as span:
-            dfa = subset_construct(nfa)
-            span.set(states=dfa.num_states)
-        with trace_span("design.minimize", dfa_states=dfa.num_states) as span:
-            moore = MooreMachine.from_dfa(dfa)
-            minimized = hopcroft_minimize(moore)
-            span.set(states=minimized.num_states)
-        return minimized, nfa.num_states, dfa.num_states, minimized.num_states
-
 
 def _design_hit_ok(value) -> bool:
-    """Cache-hit validator: a loaded ``DesignResult`` must still prove
-    equivalent to the oracle.  An entry that unpickles fine but carries a
-    wrong machine (bit-rot, version skew, tampering) would otherwise
-    silently poison every figure that reads it; rejecting it here makes
-    the cache layer quarantine and recompute instead."""
-    from repro.reliability.verify import design_ok
+    """Cache-hit integrity check: a loaded ``DesignResult``'s cover must
+    agree with its pattern sets and its machine must equal the production
+    build of that cover, so a loadable entry with a wrong machine (bit-rot,
+    version skew, tampering) is quarantined and recomputed rather than
+    poisoning every figure that reads it.  Cheaper than ``verify_design``:
+    a hit never runs the reference chain."""
+    from repro.reliability.verify import cover_issues
 
-    return isinstance(value, DesignResult) and design_ok(value)
+    try:
+        return (
+            isinstance(value, DesignResult)
+            and not cover_issues(value)
+            and value.machine
+            == production_machine(
+                value.cover, value.config.order, value.config.canonical_history
+            )
+        )
+    except Exception:  # malformed artifact: anything goes when poisoned
+        return False
 
 
 def design_predictor(

@@ -176,23 +176,17 @@ def _startup_shard(
     trace = branch_trace(benchmark, "train", max_branches)
     ranked = rank_branches_by_misses(trace)
     models = collect_branch_models(trace, order=order)
-    with_reduction = FSMDesigner(
-        DesignConfig(order=order, dont_care_fraction=0.01)
-    )
-    without_reduction = FSMDesigner(
-        DesignConfig(order=order, dont_care_fraction=0.01, reduce_startup=False)
-    )
+    designer = FSMDesigner(DesignConfig(order=order, dont_care_fraction=0.01))
     rows: List[StartupRow] = []
     for pc, _misses in ranked[:top_branches]:
-        model = models.models[pc]
-        full = without_reduction.design_from_model(model)
-        reduced = with_reduction.design_from_model(model)
+        design = designer.design_from_model(models.models[pc])
         rows.append(
             StartupRow(
                 benchmark=benchmark,
                 branch_pc=pc,
-                states_with_startup=full.machine.num_states,
-                states_final=reduced.machine.num_states,
+                # The reference chain's machine before start-state reduction.
+                states_with_startup=design.minimized_states,
+                states_final=design.machine.num_states,
             )
         )
     return rows

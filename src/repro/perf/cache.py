@@ -76,7 +76,10 @@ TRACE_VERSION = 1
 # subset construction, machine-batched simulation); results are
 # bit-identical by construction, but the salt guarantees no pre-batch
 # cache entry can ever be served for a batched-era key or vice versa.
-DESIGN_FLOW_VERSION = 3
+# 4: machines are built by the direct history construction and the
+# pickled DesignResult no longer carries regex or per-stage counts (they
+# are recomputed from the cover on demand).
+DESIGN_FLOW_VERSION = 4
 
 _runtime_enabled = True
 

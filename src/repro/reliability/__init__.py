@@ -12,7 +12,7 @@ Modules:
   (``REPRO_FAULTS``) for chaos-testing the cache, the pool, the pipeline,
   the journal (``journal_write``), and whole processes (``kill_point``);
 - :mod:`repro.reliability.verify` -- proves produced machines against the
-  direct-construction oracle;
+  paper's regex -> NFA -> DFA reference chain;
 - :mod:`repro.reliability.durability` -- write-ahead journal, checkpoint
   blobs, and :func:`~repro.reliability.durability.durable_map`
   (kill/resume-safe sweeps; imported lazily by callers, not here, to keep

@@ -4,7 +4,7 @@ Runs, in-process and in a couple of minutes of CPU at most:
 
 1. **oracle equivalence** -- design machines for orders 1-6 from the
    paper's worked trace and a seeded pseudo-random trace, and prove each
-   against the direct-construction oracle;
+   against the paper's reference chain;
 2. **cache round-trip** -- store/hit/corrupt/quarantine/recompute against
    a throwaway cache directory, checking the counters at each step;
 3. **parallel determinism** -- a pooled sweep must equal the serial sweep

@@ -1,12 +1,14 @@
 """Tests for subset construction and DFA behaviour."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import regex as rx
 from repro.automata.dfa import DFA, subset_construct
-from repro.automata.nfa import thompson_construct
+from repro.automata.nfa import EPSILON, NFA, thompson_construct
 
 REGEX_CASES = [
     "0",
@@ -111,3 +113,34 @@ def test_property_dfa_matches_nfa(pattern, text):
     nfa = thompson_construct(rx.parse_regex(pattern), alphabet=("0", "1"))
     dfa = subset_construct(nfa)
     assert dfa.accepts_string(text) == nfa.accepts_string(text)
+
+
+@st.composite
+def arbitrary_nfas(draw):
+    """Random NFAs with epsilon cycles, backward epsilon edges, unreachable
+    states and empty moves -- shapes Thompson construction never makes."""
+    n = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    p_eps = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    p_sym = draw(st.sampled_from([0.03, 0.1, 0.3]))
+    transitions = {}
+    for state in range(n):
+        for symbol, p in ((EPSILON, p_eps), ("0", p_sym), ("1", p_sym)):
+            dsts = frozenset(t for t in range(n) if rng.random() < p)
+            if dsts:
+                transitions[(state, symbol)] = dsts
+    return NFA(
+        num_states=n,
+        alphabet=("0", "1"),
+        start=rng.randrange(n),
+        accepts=frozenset(t for t in range(n) if rng.random() < 0.25),
+        transitions=transitions,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_nfas())
+def test_property_arbitrary_nfa_language_preserved(nfa):
+    dfa = subset_construct(nfa)
+    for text in all_strings(6):
+        assert dfa.accepts_string(text) == nfa.accepts_string(text), text

@@ -11,8 +11,7 @@ from repro.automata.equivalence import (
     find_distinguishing_string,
 )
 from repro.automata.moore import MooreMachine
-from repro.core.direct import direct_history_machine
-from repro.core.pipeline import design_predictor
+from repro.core.pipeline import design_predictor, reference_chain
 
 
 def toggle(outputs=(0, 1)):
@@ -65,23 +64,20 @@ class TestChecker:
 
 
 class TestPipelineProofs:
-    """Exact (not sampled) equivalence of the pipeline with the oracle."""
+    """Exact (not sampled) equivalence of the production machine with the
+    paper's reference chain."""
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_pipeline_equals_direct_machine(self, paper_trace, order):
         result = design_predictor(paper_trace, order=order)
-        oracle = direct_history_machine(result.cover, order=order)
+        oracle = reference_chain(result.cover, order=order).final
         assert equivalent(result.machine, oracle)
 
     def test_unreduced_machine_steady_state_equivalent(self, paper_trace):
-        from repro.core.pipeline import DesignConfig, FSMDesigner
-
-        reduced = design_predictor(paper_trace, order=2).machine
-        unreduced = (
-            FSMDesigner(DesignConfig(order=2, reduce_startup=False))
-            .design_from_trace(paper_trace)
-            .machine
-        )
+        result = design_predictor(paper_trace, order=2)
+        reduced = result.machine
+        # The reference chain's machine before start-state reduction.
+        unreduced = reference_chain(result.cover, order=2).minimized
         # Not fully equivalent (start-up behaviour differs)...
         assert not equivalent(reduced, unreduced) or True
         # ...but equivalent on every input of length >= N from any state.
@@ -91,5 +87,5 @@ class TestPipelineProofs:
     @settings(max_examples=20)
     def test_property_exact_equivalence(self, trace, order):
         result = design_predictor(trace, order=order)
-        oracle = direct_history_machine(result.cover, order=order)
+        oracle = reference_chain(result.cover, order=order).final
         assert equivalent(result.machine, oracle)

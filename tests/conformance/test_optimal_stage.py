@@ -16,9 +16,11 @@ from repro.predictors.optimal import OptimalResult
 
 
 class TestStageRegistration:
-    def test_sim_optimal_is_the_tenth_stage(self):
+    def test_sim_optimal_is_the_last_stage(self):
         assert STAGES[-1] == "sim.optimal"
-        assert len(STAGES) == 10
+        assert len(STAGES) == 11
+        # The production construction is checked right after the chain.
+        assert STAGES.index("core.direct") == STAGES.index("automata.startup") + 1
 
     def test_trace_length_gate_is_sane(self):
         assert OPTIMAL_CHECK_MAX_BITS >= 1024

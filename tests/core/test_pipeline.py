@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.direct import direct_history_machine
 from repro.core.markov import MarkovModel
-from repro.core.pipeline import DesignConfig, FSMDesigner, design_predictor
+from repro.core.pipeline import (
+    DesignConfig,
+    FSMDesigner,
+    design_predictor,
+    reference_chain,
+)
 from repro.logic.cube import Cube, cover_contains
 
 
@@ -100,10 +104,12 @@ class TestDegenerateCases:
         assert result.model.order == 2
 
     def test_no_reduction_keeps_startup_states(self, paper_trace):
-        designer = FSMDesigner(DesignConfig(order=2, reduce_startup=False))
-        result = designer.design_from_trace(paper_trace)
-        assert result.machine.num_states == 5
-        assert result.startup_states_removed == 0
+        # The reference chain's machine before start-state reduction still
+        # carries Figure 1's start-up states.
+        result = design_predictor(paper_trace, order=2)
+        chain = reference_chain(result.cover, order=2)
+        assert chain.minimized.num_states == 5
+        assert chain.final.num_states == 3
 
 
 class TestKeyInvariant:
@@ -121,14 +127,15 @@ class TestKeyInvariant:
                 assert machine.outputs[machine.run(history, start=start)] == expected
 
     def test_equivalent_to_direct_construction(self, paper_trace):
-        # Both machines start in their all-zeros-history state, so they
-        # must agree on every input string, not only long ones.
+        # Production (the direct construction) and the paper's chain both
+        # start in their all-zeros-history state, so they must agree on
+        # every input string, not only long ones.
         result = design_predictor(paper_trace, order=2)
-        direct = direct_history_machine(result.cover, order=2)
-        assert direct.num_states == result.machine.num_states
+        chain = reference_chain(result.cover, order=2).final
+        assert chain.num_states == result.machine.num_states
         for length in range(6):
             for text in all_strings_of_length(length):
-                assert result.machine.output_after(text) == direct.output_after(text)
+                assert result.machine.output_after(text) == chain.output_after(text)
 
 
 @given(
@@ -137,11 +144,11 @@ class TestKeyInvariant:
 )
 @settings(max_examples=30)
 def test_property_pipeline_machine_matches_direct_oracle(trace, order):
-    """The full regex->NFA->DFA->Hopcroft->reduction chain must produce a
-    machine equivalent (on steady-state strings) to the directly
-    constructed minimal history automaton."""
+    """The production machine (the directly constructed minimal history
+    automaton) must be equivalent on steady-state strings to the final
+    machine of the paper's regex->NFA->DFA->Hopcroft->reduction chain."""
     result = design_predictor(trace, order=order)
-    oracle = direct_history_machine(result.cover, order=order)
+    oracle = reference_chain(result.cover, order=order).final
     assert result.machine.num_states == oracle.num_states
     frontier = [""]
     for _ in range(order + 3):

@@ -126,6 +126,60 @@ class TestCorruptDesignResult:
         assert again.machine.outputs == good.machine.outputs
         assert cache_stats().hits == 1
 
+    def test_forged_reference_memo_cannot_vouch_for_forged_machine(
+        self, tmp_cache, monkeypatch
+    ):
+        """An entry whose machine *and* memoized reference chain are forged
+        consistently: if the memo survived unpickling, verification would
+        compare the forged machine with itself and pass.  Validation must
+        check the machine against the cover instead."""
+        import dataclasses
+        import hashlib
+
+        from repro.core.pipeline import DesignResult
+
+        good = design_predictor(TRACE, order=2)
+        entry = next((tmp_cache / "designs").rglob("*.pkl"))
+
+        forged = pickle.loads(entry.read_bytes())
+        machine = forged.machine
+        forged.machine = MooreMachine(
+            alphabet=machine.alphabet,
+            start=machine.start,
+            outputs=tuple(1 - out for out in machine.outputs),
+            transitions=machine.transitions,
+        )
+        forged._reference = dataclasses.replace(
+            forged.reference(), final=forged.machine
+        )
+        from repro.reliability.verify import design_ok
+
+        assert design_ok(forged)  # the memo alone would vouch for it
+        # Serialize the memo too, as a payload from elsewhere could.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                DesignResult, "__getstate__", lambda self: dict(self.__dict__)
+            )
+            payload = pickle.dumps(forged, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"_reference" in payload
+        entry.write_bytes(payload)
+        entry.with_suffix(".sha256").write_text(
+            hashlib.sha256(payload).hexdigest()
+        )
+
+        reset_cache_stats()
+        recovered = design_predictor(TRACE, order=2)
+        assert recovered.machine == good.machine
+        assert cache_stats().quarantined == 1
+
+    def test_pickled_result_drops_reference_memo(self, tmp_cache):
+        result = design_predictor(TRACE, order=2)
+        assert result.minimized_states == 5  # populates the memo
+        assert result._reference is not None
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone._reference is None
+        assert clone.minimized_states == 5
+
 
 class TestEviction:
     def test_size_bound_evicts_oldest_first(self, tmp_cache, monkeypatch):
